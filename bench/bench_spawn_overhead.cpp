@@ -15,8 +15,8 @@
 //                (everything else at the fast-path defaults).
 //
 // fib and null run twice on the SAME binary: once with the fast-path knobs
-// on (batched accounting, steal-half, victim affinity, distributed parking
-// — the defaults) and once with all of them off (the seed behaviour). The
+// on (steal-half, victim affinity, distributed parking, LIFO slot, fused
+// finish — the defaults) and once with all of them off. The
 // summary reports the relative overhead reduction.
 //
 // The binary doubles as the allocation-regression tripwire CI depends on:
@@ -76,7 +76,6 @@ rt::SchedulerConfig make_config(unsigned threads, bool fastpath) {
   rt::SchedulerConfig cfg;
   cfg.num_threads = threads;
   cfg.cutoff = rt::CutoffPolicy::none;  // measure every spawn, no pruning
-  cfg.batch_accounting = fastpath;
   cfg.steal_half = fastpath;
   cfg.victim_affinity = fastpath;
   cfg.distributed_parking = fastpath;

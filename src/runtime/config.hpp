@@ -184,6 +184,11 @@ struct SchedulerConfig {
   /// max_tasks -> 64 * num_threads, max_depth -> 16,
   /// adaptive -> hi = 64 * num_threads (lo = hi / 2).
   /// Also settable process-wide via RT_CUTOFF_VALUE.
+  /// max_tasks/adaptive compare the bound against a per-worker view of the
+  /// team's live tasks, exact for the worker's own and as of its last team
+  /// scan for the others'. Scans run every Scheduler::cutoff_scan_period
+  /// (K) decisions, so a worker defers at most K tasks on one stale view
+  /// and the team can overshoot the bound by up to team_size * K.
   std::uint32_t cutoff_value = env_u32("RT_CUTOFF_VALUE", 0);
   /// Pool task descriptors in per-worker freelists instead of the global
   /// heap (paper Section III-B: "implementations that pre-allocate small
@@ -194,16 +199,6 @@ struct SchedulerConfig {
 
   // -- spawn/steal fast-path knobs (each togglable so the ablation benches
   // -- and bench_spawn_overhead can A/B the overhaul piecewise) --------------
-
-  /// Batch live-task accounting: spawn/finish adjust a per-worker delta that
-  /// is flushed to the shared Region::live_tasks atomic every
-  /// `accounting_batch` operations and whenever the worker reaches a task
-  /// scheduling point with no local work. Off: every spawn/finish does its
-  /// own fetch_add on the shared cacheline (the seed behaviour).
-  bool batch_accounting = true;
-  /// Flush threshold for batched accounting. The max_tasks/adaptive cut-offs
-  /// may observe live_tasks stale by at most `accounting_batch * team_size`.
-  std::uint32_t accounting_batch = 32;
 
   /// Steal up to half of the victim's deque in one grab and keep the surplus
   /// in the thief's own deque. Off: one task per steal (the seed behaviour).

@@ -77,7 +77,6 @@ Scheduler::Scheduler(SchedulerConfig cfg)
   if (cfg_.num_threads == 0) cfg_.num_threads = 1;
   fault_.parse(cfg_.fault_plan);
   use_slot_ = cfg_.lifo_slot && cfg_.local_order == LocalOrder::lifo;
-  acct_batch_ = cfg_.accounting_batch > 0 ? cfg_.accounting_batch : 1;
   rebuild_node_pools();
   rebuild_mailboxes();
   {
@@ -279,7 +278,7 @@ RegionStatus Scheduler::run_region(Region& r, std::chrono::milliseconds deadline
 
   // Deadline + stall watchdog share one monitor thread, spawned only when
   // either is armed so unmonitored regions pay nothing. It reads atomics
-  // only (per-worker progress, live_tasks) and is joined before the Region
+  // only (per-worker progress and ledgers) and is joined before the Region
   // (a caller stack object) can die or the first exception rethrows. A
   // refused monitor thread degrades to an unmonitored region — strictly
   // better than failing the region for the tool meant to watch it.
@@ -412,7 +411,6 @@ void Scheduler::run_ctx_root(RegionCtx& ctx, const std::function<void()>& body) 
       execute_deferred(w, *t);
       backoff.reset();
     } else {
-      if (cfg_.batch_accounting) flush_accounting(w);
       backoff.pause();
     }
   }
@@ -432,7 +430,6 @@ bool Scheduler::help_one() {
     execute_deferred(*wp, *t);
     return true;
   }
-  if (cfg_.batch_accounting) flush_accounting(*wp);
   return false;
 }
 
@@ -496,8 +493,7 @@ void Scheduler::dump_stall_report(Region& r) {
                "rt: STALL: no task progress for %u ms "
                "(live_tasks=%lld parked=%zu arrived=%u cancel=%s)\n",
                watchdog_tunables().first,
-               static_cast<long long>(
-                   r.live_tasks.load(std::memory_order_relaxed)),
+               static_cast<long long>(live_tasks()),
                r.parked_count.load(std::memory_order_relaxed),
                r.arrived.load(std::memory_order_relaxed),
                to_string(r.status()));
@@ -550,9 +546,7 @@ void Scheduler::participate(Worker& w, Region& r) {
   w.stats.pinned = w.pin_applied ? 1u : 0u;
   w.region = &r;
   w.throttled = false;
-  w.live_delta = 0;
-  w.acct_ops = 0;
-  w.barrier_draining = false;
+  w.cutoff_scan_in = 0;  // the first cut-off decision scans the team
   w.tied_chain = 0;
   w.inline_depth = 0;
   assert(w.tied_stack.empty() && "a suspended tied task outlived its region");
@@ -614,31 +608,47 @@ void Scheduler::participate(Worker& w, Region& r) {
 }
 
 bool Scheduler::should_defer(Worker& w, std::uint32_t depth) noexcept {
+  const auto bound = static_cast<std::int64_t>(cutoff_bound_);
   switch (cfg_.cutoff) {
     case CutoffPolicy::none:
       return true;
     case CutoffPolicy::max_depth:
       return depth <= cutoff_bound_;
     case CutoffPolicy::max_tasks:
-      // Adding the local unflushed delta keeps the bound exact for this
-      // worker's own contribution even with batched accounting.
-      return w.region->live_tasks.load(std::memory_order_relaxed) +
-                 w.live_delta <
-             static_cast<std::int64_t>(cutoff_bound_);
-    case CutoffPolicy::adaptive: {
-      const auto live =
-          w.region->live_tasks.load(std::memory_order_relaxed) + w.live_delta;
+      return !live_exceeds(w, bound - 1);
+    case CutoffPolicy::adaptive:
       if (w.throttled) {
-        if (live < static_cast<std::int64_t>(cutoff_bound_ / 2)) {
-          w.throttled = false;
-        }
-      } else if (live > static_cast<std::int64_t>(cutoff_bound_)) {
+        if (!live_exceeds(w, bound / 2 - 1)) w.throttled = false;
+      } else if (live_exceeds(w, bound)) {
         w.throttled = true;
       }
       return !w.throttled;
-    }
   }
   return true;
+}
+
+bool Scheduler::live_exceeds(Worker& w, std::int64_t limit) noexcept {
+  // The team's live tasks as this worker sees them: its own ledger exactly,
+  // everyone else's as of its last scan. A scan reads one line per worker
+  // that its owner keeps writing, so it runs every cutoff_scan_period
+  // decisions, plus before a "yes" once this worker has made
+  // cutoff_recheck_after decisions and spawned as many tasks since the last
+  // one: others may have finished those already, and a stale yes would
+  // inline work for nothing. Either way, at most one scan per
+  // cutoff_recheck_after decisions.
+  const std::uint64_t spawned = w.spawned.load(std::memory_order_relaxed);
+  const auto own = static_cast<std::int64_t>(
+      spawned - w.finished.load(std::memory_order_relaxed));
+  if (w.cutoff_scan_in == 0 ||
+      (w.others_live + own > limit &&
+       w.cutoff_scan_in <= cutoff_scan_period - cutoff_recheck_after &&
+       spawned - w.spawned_at_scan >= cutoff_recheck_after)) {
+    w.others_live = live_tasks() - own;
+    w.spawned_at_scan = spawned;
+    w.cutoff_scan_in = cutoff_scan_period;
+  }
+  --w.cutoff_scan_in;
+  return w.others_live + own > limit;
 }
 
 Task* Scheduler::alloc_task(Worker& w, TaskStorage& storage_out) {
@@ -809,30 +819,6 @@ void Scheduler::flush_outbound_stashes(Worker& w) noexcept {
   }
 }
 
-void Scheduler::flush_accounting(Worker& w) noexcept {
-  if (w.live_delta != 0) {
-    w.region->live_tasks.fetch_add(w.live_delta, std::memory_order_acq_rel);
-    w.live_delta = 0;
-    ++w.stats.acct_flushes;
-  }
-  w.acct_ops = 0;
-}
-
-void Scheduler::account_spawn(Worker& w) noexcept {
-  if (cfg_.batch_accounting) {
-    ++w.live_delta;
-    // Once this worker has arrived at a barrier, increments flush eagerly:
-    // a batched +1 held across an execute could otherwise cancel against
-    // the (already flushed) finish of the same subtree on another worker
-    // and let the barrier observe zero with work still in flight.
-    if (w.barrier_draining || ++w.acct_ops >= acct_batch_) {
-      flush_accounting(w);
-    }
-  } else {
-    w.region->live_tasks.fetch_add(1, std::memory_order_relaxed);
-  }
-}
-
 void Scheduler::enqueue(Worker& w, Task& t) {
   // Advertise this node as fed (NodeHints): remote hierarchical planners
   // consult the word before spending interconnect probes here. The steady
@@ -841,7 +827,7 @@ void Scheduler::enqueue(Worker& w, Task& t) {
   // retires the whole generation — policy and words together — only after
   // this worker's pin moves on.
   if (NodeHints* h = w.snap->hints.get()) h->publish(w.node);
-  account_spawn(w);
+  w.note_spawned();
   // Per-request ledger (server mode): the task was counted into the queued
   // population of its request; execute_deferred will balance it with exactly
   // one executed or discarded. Null — and free — in ordinary regions.
@@ -874,7 +860,7 @@ void Scheduler::enqueue_released(Worker& w, Task& t) {
 }
 
 void Scheduler::account_dep_spawn(Worker& w, Task& t) noexcept {
-  account_spawn(w);
+  w.note_spawned();
   if (RegionCtx* c = t.ctx()) c->note_deferred();
 }
 
@@ -921,10 +907,10 @@ void Scheduler::publish_range_half(Worker& w, Task& t) {
         // exactly-once delivery is preserved, only the placement quality
         // drops (the half stays stealable the ordinary way).
         !inject(&w, FaultSite::mailbox_push)) {
-      // Same live-task accounting as enqueue, same ordering (the half is
-      // counted before it becomes claimable); only the landing spot moves.
+      // Same ledger charge as enqueue, same ordering (the half is counted
+      // before it becomes claimable); only the landing spot moves.
       ++w.stats.range_halves_redirected;
-      account_spawn(w);
+      w.note_spawned();
       if (RegionCtx* c = t.ctx()) c->note_deferred();
       trace_record(w.ring, TraceEvent::mailbox, t.home_node(),
                    trace_pack_nodes(target, w.node));
@@ -1083,9 +1069,9 @@ void Scheduler::finish_task(Worker& w, Task& t, bool deferred) {
   // ref_one — fuse the announcement and the release into ONE parent RMW, so
   // no window exists at all. Exclusivity is stable here because refs and
   // children are only ever added by t's own executor, and t's body has
-  // finished. (2) Record the live_tasks decrement last, so the region
-  // barrier's quiescence (live_tasks == 0) implies every release chain has
-  // finished and the implicit root frames can safely leave the stack.
+  // finished. (2) Count the finish in the ledger last, so the region
+  // barrier's quiescence (finished == spawned) implies every release chain
+  // has finished and the implicit root frames can safely leave the stack.
   if (cfg_.fused_finish && t.exclusive()) {
     // Exclusive: no child or release chain can reach t anymore, so t dies
     // without an RMW and both halves of the parent update — the
@@ -1107,15 +1093,9 @@ void Scheduler::finish_task(Worker& w, Task& t, bool deferred) {
     release_chain(w, &t);
   }
   if (deferred && region != nullptr) {
-    if (cfg_.batch_accounting) {
-      --w.live_delta;
-      if (++w.acct_ops >= acct_batch_) flush_accounting(w);
-    } else {
-      region->live_tasks.fetch_sub(1, std::memory_order_release);
-    }
-    // The request-scoped live count is deliberately UNBATCHED: run_ctx_root's
-    // join spins on it, and its contention domain is one request's subtree,
-    // not the whole team.
+    w.note_finished();
+    // The request's live count stays a shared counter: run_ctx_root's join
+    // spins on it, and only that request's subtree contends for it.
     if (ctx != nullptr) ctx->note_finished();
   }
 }
@@ -1132,11 +1112,6 @@ void Scheduler::taskwait_from(Worker& w) {
   ++w.stats.taskwaits;
   Task* cur = w.current;
   if (cur == nullptr || cur->unfinished_children() == 0) return;
-  // No accounting flush here: the wait relies on the exact per-parent
-  // unfinished_children counter, not live_tasks, and a worker inside a
-  // taskwait has not arrived at the barrier, so the barrier cannot open on
-  // its unflushed increments. The idle path below still flushes (the
-  // barrier's last arriver may be spinning on this worker's decrements).
   const bool constrains = cur->tiedness() == Tiedness::tied;
   if (constrains) {
     // Extend the verified ancestor-chain prefix when possible. The claim's
@@ -1157,7 +1132,6 @@ void Scheduler::taskwait_from(Worker& w) {
       execute_deferred(w, *t);
       backoff.reset();
     } else {
-      if (cfg_.batch_accounting) flush_accounting(w);
       backoff.pause();
     }
   }
@@ -1174,34 +1148,22 @@ void Scheduler::barrier_from(Worker& w) {
   Region& r = *w.region;
   assert(w.current != nullptr && w.current->depth() == 0 &&
          "barrier() is only valid from the implicit task of a region");
-  // The barrier opens on live_tasks == 0, so unflushed POSITIVE deltas are
-  // the dangerous direction here (they make the global counter undercount
-  // and could open the barrier with tasks still pending). Two rules keep it
-  // sound: every worker flushes before arriving, and from arrival on its
-  // spawn-side increments flush eagerly (Worker::barrier_draining, checked
-  // by enqueue) — a batched +1 held across an execute could otherwise
-  // cancel against the already-flushed finish of the same subtree on
-  // another worker and zero the counter with work still running. With all
-  // arrivers' increments flushed, unflushed deltas are never positive, so
-  // the global counter never undercounts: zero really means quiescent.
-  // Negative deltas only overcount and merely keep the barrier spinning one
-  // more round until the idle-path flush.
-  if (cfg_.batch_accounting) flush_accounting(w);
-  w.barrier_draining = true;
   w.parked_recheck = true;  // the barrier suspends no tied task: drain all
   const std::uint32_t gen = r.barrier_gen.load(std::memory_order_acquire);
   const std::uint32_t n = r.arrived.fetch_add(1, std::memory_order_acq_rel) + 1;
   Backoff backoff;
   if (n == r.team_size) {
     // Last arriver: drain every outstanding task, then release the team.
-    // Decrements may lag in the local delta (the counter then overcounts
-    // and we spin one more round); the idle path flushes them.
-    while (r.live_tasks.load(std::memory_order_acquire) != 0) {
+    // Every implicit task has arrived, so its spawns are visible through
+    // the arrival RMWs. A claimed task is live, so the ledger scan only
+    // runs on rounds that found no work.
+    for (;;) {
       if (Task* t = find_work(w)) {
         execute_deferred(w, *t);
         backoff.reset();
+      } else if (live_tasks() == 0) {
+        break;
       } else {
-        if (cfg_.batch_accounting) flush_accounting(w);
         backoff.pause();
       }
     }
@@ -1213,12 +1175,10 @@ void Scheduler::barrier_from(Worker& w) {
         execute_deferred(w, *t);
         backoff.reset();
       } else {
-        if (cfg_.batch_accounting) flush_accounting(w);
         backoff.pause();
       }
     }
   }
-  w.barrier_draining = false;
 }
 
 void Scheduler::run_inline_scope(Worker& w, const std::function<void()>& body) {
@@ -1372,7 +1332,7 @@ Task* Scheduler::steal_work(Worker& w, bool& progress) {
   // A raid returns the oldest stolen task (or parks it when the TSC refuses
   // it) and keeps any surplus in the private stash, which find_work drains
   // before touching the deque (see Worker::stash). The caller guarantees
-  // the stash is empty here. Surplus was already counted in live_tasks when
+  // the stash is empty here. Surplus was already counted as spawned when
   // first enqueued, so no accounting happens on this path.
   auto raid = [&](unsigned v) -> std::size_t {
     ++w.stats.steal_attempts;
@@ -1874,6 +1834,23 @@ bool Scheduler::tsc_allows(const Worker& w, const Task& t) const noexcept {
     if (!t.is_descendant_of(**it)) return false;
   }
   return true;
+}
+
+std::int64_t Scheduler::live_tasks() const noexcept {
+  // Zero is quiescence, with no flushing anywhere. Finishes are summed
+  // first, with acquire loads: each counted finish happens-after its task's
+  // spawn charge, so the spawn sum read afterwards covers every counted
+  // finish. An uncounted spawn needs a spawner still running when it was
+  // made: an implicit task (at a barrier all have arrived, and their spawns
+  // precede the arrival RMW) or a deferred task, whose own finish, once
+  // counted, makes the child's spawn visible. So none hides behind a zero.
+  std::uint64_t finished = 0;
+  std::uint64_t spawned = 0;
+  for (const auto& w : workers_)
+    finished += w->finished.load(std::memory_order_acquire);
+  for (const auto& w : workers_)
+    spawned += w->spawned.load(std::memory_order_relaxed);
+  return static_cast<std::int64_t>(spawned - finished);
 }
 
 StatsSnapshot Scheduler::stats() const {

@@ -26,21 +26,14 @@
 //
 // Fast-path design (the BOTS overhead knobs this repo exists to measure)
 // ----------------------------------------------------------------------
-// * Batched live-task accounting: Region::live_tasks is the only per-spawn
-//   shared-cacheline counter, so spawn/finish adjust a per-worker delta
-//   instead and flush it every SchedulerConfig::accounting_batch operations
-//   and at every task scheduling point where the worker finds no local work
-//   (taskwait/barrier entry and their idle iterations). Quiescence stays
-//   sound: the global counter always equals true-live minus the sum of
-//   unflushed deltas, and once a worker arrives at a barrier its spawn-side
-//   increments flush eagerly (enqueue checks Worker::barrier_draining) —
-//   so when all workers have arrived, no unflushed delta is ever positive,
-//   the global counter never undercounts, and zero really means quiescent.
-//   (Batching an increment across an execute would otherwise let it cancel
-//   against the already-flushed finish of the same subtree executed
-//   elsewhere, zeroing the counter with work still running.) taskwait needs
-//   no such care: it waits on the exact per-parent unfinished-children
-//   counter, not on live_tasks. Deltas are region-scoped, reset on entry.
+// * Single-writer task ledger: each worker counts the deferred tasks it
+//   spawned and finished in two counters on its own cache line that only
+//   it writes (Worker::spawned/finished), so no spawn or finish touches a
+//   line another worker writes. A barrier is quiescent when the sum of
+//   every worker's `finished` (acquire loads) equals the sum of every
+//   `spawned` read after it (Scheduler::live_tasks). The max_tasks/adaptive
+//   cut-offs read a per-worker view refreshed by a team scan every
+//   Scheduler::cutoff_scan_period decisions (Scheduler::live_exceeds).
 // * LIFO slot: the newest spawned task waits in a private one-entry slot
 //   (Worker::slot) instead of the deque, so the hottest pop of depth-first
 //   recursion costs two plain stores instead of a seq_cst-fenced deque pop.
@@ -149,7 +142,7 @@
 // std::chrono::milliseconds budget report RegionStatus::deadline_exceeded),
 // the stall watchdog with cfg.watchdog_cancel, or the first captured task
 // exception with cfg.cancel_on_exception. The monitor thread (deadline +
-// watchdog) samples per-worker progress atomics and live_tasks only.
+// watchdog) samples per-worker progress and ledger atomics only.
 //
 // Degradation ladder (PR 6): descriptor allocation falls from the pool /
 // node-arena rung to a plain per-descriptor heap rung
@@ -211,7 +204,6 @@ struct RegionResult {
 struct Region {
   explicit Region(unsigned team) : team_size(team) {}
 
-  std::atomic<std::int64_t> live_tasks{0};   ///< deferred tasks not yet finished
   std::atomic<std::uint32_t> arrived{0};     ///< barrier arrival count
   std::atomic<std::uint32_t> barrier_gen{0}; ///< barrier generation (reusable)
   std::atomic<bool> has_exception{false};
@@ -406,9 +398,6 @@ class Worker {
   static constexpr std::size_t stash_capacity = 64;
 
   // -- spawn/steal fast-path state (region-scoped, reset on region entry) --
-  std::int64_t live_delta = 0;     ///< unflushed Region::live_tasks change
-  std::uint32_t acct_ops = 0;      ///< spawns/finishes since the last flush
-  bool barrier_draining = false;   ///< arrived at a barrier: increments flush eagerly
   /// Re-examine the own parked inbox on the next claim_parked. Eligibility
   /// of a parked task against THIS worker only changes when the worker's
   /// tied_stack changes, so between changes the own-inbox scan is skipped
@@ -425,7 +414,7 @@ class Worker {
   /// deque push + fenced pop. Invisible to other thieves only while waiting
   /// here — every find_work drains the stash first and parks (publishes) any
   /// entry the TSC refuses, so the progress argument is unaffected; entries
-  /// are still counted in Region::live_tasks, so quiescence is unaffected.
+  /// are still counted as spawned and unfinished, so quiescence is unaffected.
   std::size_t stash_count = 0;
   Task* stash[stash_capacity];
 
@@ -470,6 +459,27 @@ class Worker {
   void note_progress() noexcept {
     progress.store(progress.load(std::memory_order_relaxed) + 1,
                    std::memory_order_relaxed);
+  }
+
+  /// Task ledger: deferred tasks this worker spawned (charged before the
+  /// task can be claimed) and finished (counted last in finish_task, with a
+  /// release that Scheduler::live_tasks acquires). Lifetime totals, written
+  /// only by this worker, on their own cache line like `progress`.
+  alignas(cache_line_bytes) std::atomic<std::uint64_t> spawned{0};
+  std::atomic<std::uint64_t> finished{0};
+  /// Cut-off view (Scheduler::live_exceeds): others' live tasks and own
+  /// `spawned` at the last team scan; decisions left until the next one.
+  /// On the ledger's line, which only this worker writes.
+  std::int64_t others_live = 0;
+  std::uint64_t spawned_at_scan = 0;
+  std::uint32_t cutoff_scan_in = 0;
+  void note_spawned(std::uint64_t n = 1) noexcept {
+    spawned.store(spawned.load(std::memory_order_relaxed) + n,
+                  std::memory_order_relaxed);
+  }
+  void note_finished() noexcept {
+    finished.store(finished.load(std::memory_order_relaxed) + 1,
+                   std::memory_order_release);
   }
 };
 
@@ -761,6 +771,17 @@ class Scheduler {
   /// of the idle drain clear it). Between regions only.
   void set_victim_hint(unsigned worker, unsigned victim) noexcept;
 
+  /// Cut-off view refresh cadence (see SchedulerConfig::cutoff_value): a
+  /// team scan every cutoff_scan_period decisions, and before a refusal
+  /// once cutoff_recheck_after decisions and spawns followed the last scan.
+  static constexpr std::uint32_t cutoff_scan_period = 256;
+  static constexpr std::uint32_t cutoff_recheck_after = 32;
+
+  /// Deferred tasks spawned and not yet finished, summed over the team's
+  /// ledgers (finishes read first). Safe from any thread; 0 once every
+  /// implicit task has reached a barrier means the team is quiescent.
+  [[nodiscard]] std::int64_t live_tasks() const noexcept;
+
   /// Aggregate per-worker statistics. Call between regions.
   [[nodiscard]] StatsSnapshot stats() const;
   void reset_stats() noexcept;
@@ -841,14 +862,15 @@ class Scheduler {
   void dispose(Worker& w, Task& t) noexcept;
   void flush_stash(Worker& w, unsigned node) noexcept;
   void flush_outbound_stashes(Worker& w) noexcept;
-  void account_spawn(Worker& w) noexcept;
+  /// Whether the max_tasks/adaptive cut-off's view of live_tasks() for
+  /// worker `w` exceeds `limit`, refreshing the view when it is due.
+  [[nodiscard]] bool live_exceeds(Worker& w, std::int64_t limit) noexcept;
   Task* take_mailed(Worker& w, bool scavenge);
   void apply_pinning(Worker& w) noexcept;
   void restore_caller_mask() noexcept;
   void assert_between_regions() noexcept;
   Task* find_work(Worker& w);
   Task* steal_work(Worker& w, bool& progress);
-  void flush_accounting(Worker& w) noexcept;
   void park_refused(Worker& w, Task* t);
   Task* claim_parked(Worker& w);
   [[nodiscard]] bool tsc_allows(const Worker& w, const Task& t) const noexcept;
@@ -912,7 +934,6 @@ class Scheduler {
   long caller_tid_ = -1;             ///< restore address for the saved mask
   bool caller_pinned_ = false;
   bool use_slot_ = false;  ///< cfg_.lifo_slot effective under LocalOrder::lifo
-  std::uint32_t acct_batch_ = 1;  ///< cached cfg_.accounting_batch (>= 1)
   std::vector<std::unique_ptr<Worker>> workers_;
   std::vector<std::jthread> threads_;
 

@@ -32,7 +32,6 @@ struct alignas(cache_line_bytes) WorkerStats {
   std::uint64_t taskwaits = 0;
   std::uint64_t tsc_parked = 0;           ///< claims parked by the Task Scheduling Constraint
   std::uint64_t parked_claimed = 0;       ///< parked tasks this worker claimed back
-  std::uint64_t acct_flushes = 0;         ///< batched live-task delta flushes
   std::uint64_t env_bytes = 0;            ///< captured-environment bytes (Table II)
   std::uint64_t pool_reuse = 0;           ///< descriptor allocations served by the freelist
   std::uint64_t pool_fresh = 0;           ///< descriptor allocations that hit the chunk allocator
@@ -125,7 +124,6 @@ struct alignas(cache_line_bytes) WorkerStats {
     taskwaits += o.taskwaits;
     tsc_parked += o.tsc_parked;
     parked_claimed += o.parked_claimed;
-    acct_flushes += o.acct_flushes;
     env_bytes += o.env_bytes;
     pool_reuse += o.pool_reuse;
     pool_fresh += o.pool_fresh;

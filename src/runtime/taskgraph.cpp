@@ -115,8 +115,7 @@ void TaskGraph::replay(Worker& w) {
   // One weighted record for the whole replayed graph (payload = node count)
   // keeps the spawn counter in lockstep with the bulk deferred accounting.
   trace_record(w.ring, TraceEvent::spawn, n, 1, n);
-  w.region->live_tasks.fetch_add(static_cast<std::int64_t>(n),
-                                 std::memory_order_release);
+  w.note_spawned(n);
   if (RegionCtx* c = parent->ctx()) c->note_deferred_bulk(n);
   // Workers start from the recorded root frontier; interior nodes surface
   // through the finish-path successor walk exactly as their predecessors

@@ -135,10 +135,14 @@ class TraceRing {
 
 // trace_record(): the per-site helper. When tracing is knob-off the worker's
 // ring pointer is nullptr, so the entire cost is one predictable branch.
+// -DBOTS_RT_NO_TRACE compiles every site out; trace_sites_compiled tells
+// which build this is.
 #if defined(BOTS_RT_NO_TRACE)
+inline constexpr bool trace_sites_compiled = false;
 inline void trace_record(TraceRing*, TraceEvent, std::uint64_t = 0,
                          std::uint32_t = 0, std::uint64_t = 1) noexcept {}
 #else
+inline constexpr bool trace_sites_compiled = true;
 inline void trace_record(TraceRing* ring, TraceEvent ev, std::uint64_t arg = 0,
                          std::uint32_t arg2 = 0,
                          std::uint64_t weight = 1) noexcept {

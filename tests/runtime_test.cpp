@@ -1,6 +1,7 @@
 // Unit tests for the bots::rt task runtime: scheduler semantics, cut-off
 // policies, tiedness/TSC behaviour, worksharing, worker-local storage.
 #include <atomic>
+#include <chrono>
 #include <numeric>
 #include <set>
 #include <stdexcept>
@@ -139,19 +140,18 @@ INSTANTIATE_TEST_SUITE_P(Threads, SchedulerThreads,
                          });
 
 // ---------------------------------------------------------------------------
-// Spawn/steal fast path: batched accounting, steal-half, parking.
+// Spawn/steal fast path: per-worker task ledgers, steal-half, parking.
 // ---------------------------------------------------------------------------
 
-TEST_P(SchedulerThreads, QuiescenceWithBatchedAccountingDeltas) {
-  // The flush threshold is far larger than the task count, so the region can
-  // only end correctly if every worker's delta is flushed at the barrier —
-  // an unflushed increment would let the quiescence check miss live tasks,
-  // an unflushed decrement would hang the region (caught by the timeout).
+TEST_P(SchedulerThreads, QuiescenceWithWorkerLedgers) {
+  // Children are spawned by tasks that helpers claimed after arriving at the
+  // region-end barrier: the region can only end correctly if the barrier's
+  // ledger scan sees every such spawn — a missed increment would let the
+  // quiescence check miss live tasks, a missed decrement would hang the
+  // region (caught by the timeout).
   rt::SchedulerConfig cfg;
   cfg.num_threads = GetParam();
   cfg.cutoff = rt::CutoffPolicy::none;
-  cfg.batch_accounting = true;
-  cfg.accounting_batch = 1u << 20;
   rt::Scheduler s(cfg);
   for (int round = 0; round < 20; ++round) {
     std::atomic<int> done{0};
@@ -168,13 +168,12 @@ TEST_P(SchedulerThreads, QuiescenceWithBatchedAccountingDeltas) {
   }
 }
 
-TEST_P(SchedulerThreads, QuiescenceWithBatchedAccountingAcrossPhases) {
-  // Mid-region barriers must also observe batched deltas: tasks spawned by
-  // tasks executed inside the barrier drain flush eagerly.
+TEST_P(SchedulerThreads, QuiescenceWithWorkerLedgersAcrossPhases) {
+  // Mid-region barriers must also see spawns made by tasks executed inside
+  // the barrier drain.
   rt::SchedulerConfig cfg;
   cfg.num_threads = GetParam();
   cfg.cutoff = rt::CutoffPolicy::none;
-  cfg.accounting_batch = 1u << 20;
   rt::Scheduler s(cfg);
   std::atomic<int> phase1{0};
   std::atomic<bool> violation{false};
@@ -194,6 +193,143 @@ TEST_P(SchedulerThreads, QuiescenceWithBatchedAccountingAcrossPhases) {
   });
   EXPECT_FALSE(violation.load());
   EXPECT_EQ(phase1.load(), static_cast<int>(80 * s.num_workers()));
+  EXPECT_EQ(s.live_tasks(), 0);
+}
+
+// A task claimed by a helper that has already arrived at the barrier spawns
+// a child, another worker steals the child and finishes it first, and the
+// spawning task finishes last: a barrier count that lags behind the spawn
+// sees the team quiescent while the spawner still runs. The first child
+// goes to the deque (the second evicts it from the LIFO slot), where
+// thieves see it; the parent waits a little for a thief to finish it, then
+// keeps running a while longer before it joins. Counts three per call, the
+// last one after the join.
+void late_spawn_finished_elsewhere(std::atomic<int>& done) {
+  using clock = std::chrono::steady_clock;
+  std::atomic<bool> stolen_done{false};
+  rt::spawn([&done, &stolen_done] {
+    done.fetch_add(1, std::memory_order_relaxed);
+    stolen_done.store(true, std::memory_order_release);
+  });
+  rt::spawn([&done] { done.fetch_add(1, std::memory_order_relaxed); });
+  const auto give_up = clock::now() + std::chrono::microseconds(200);
+  while (!stolen_done.load(std::memory_order_acquire) &&
+         clock::now() < give_up) {
+    std::this_thread::yield();
+  }
+  const auto linger = clock::now() + std::chrono::microseconds(50);
+  while (clock::now() < linger) std::this_thread::yield();
+  rt::taskwait();
+  done.fetch_add(1, std::memory_order_relaxed);
+}
+
+rt::SchedulerConfig ledger_stress_cfg(unsigned threads) {
+  rt::SchedulerConfig cfg;
+  cfg.num_threads = threads;
+  cfg.cutoff = rt::CutoffPolicy::none;
+  cfg.fault_plan.clear();  // exact counts below
+  return cfg;
+}
+
+// One late-spawning task at a time: the helper that claims it was idle just
+// before, so nothing else it did can mask a spawn the barrier missed.
+TEST_P(SchedulerThreads, LedgerLateSpawnStressRunSingle) {
+  rt::Scheduler s(ledger_stress_cfg(GetParam()));
+  for (int round = 0; round < 200; ++round) {
+    std::atomic<int> done{0};
+    std::atomic<bool> claimed{false};
+    s.run_single([&] {
+      rt::spawn([&done, &claimed] {
+        claimed.store(true, std::memory_order_release);
+        late_spawn_finished_elsewhere(done);
+      });
+      // Evicts the first task from the LIFO slot onto the deque, where a
+      // helper already waiting at the region-end barrier claims it while
+      // the generator holds back.
+      rt::spawn([&done] { done.fetch_add(1, std::memory_order_relaxed); });
+      const auto give_up =
+          std::chrono::steady_clock::now() + std::chrono::milliseconds(5);
+      while (rt::team_size() > 1 && !claimed.load(std::memory_order_acquire) &&
+             std::chrono::steady_clock::now() < give_up) {
+        std::this_thread::yield();
+      }
+    });
+    ASSERT_EQ(done.load(), 4) << "round " << round;
+    ASSERT_EQ(s.live_tasks(), 0) << "round " << round;
+  }
+}
+
+TEST_P(SchedulerThreads, LedgerLateSpawnStressRunAllBarriers) {
+  rt::Scheduler s(ledger_stress_cfg(GetParam()));
+  constexpr int kPhases = 100;
+  std::atomic<int> done{0};
+  std::atomic<int> violations{0};
+  s.run_all([&](unsigned id) {
+    for (int phase = 1; phase <= kPhases; ++phase) {
+      if (id == static_cast<unsigned>(phase) % rt::team_size()) {
+        rt::spawn([&done] { late_spawn_finished_elsewhere(done); });
+      }
+      rt::barrier();
+      if (done.load() != 3 * phase) violations.fetch_add(1);
+      rt::barrier();
+    }
+  });
+  EXPECT_EQ(violations.load(), 0);
+  EXPECT_EQ(done.load(), 3 * kPhases);
+}
+
+TEST_P(SchedulerThreads, LedgerLateSpawnStressGraphReplay) {
+  // A replay charges every graph node to the replaying worker's ledger in
+  // one store before publishing the roots. Each node leaves behind a task
+  // that only the region-end barrier joins, spawned on whichever worker
+  // claimed the node.
+  rt::Scheduler s(ledger_stress_cfg(GetParam()));
+  constexpr int kNodes = 4;
+  std::vector<std::uint64_t> cells(kNodes, 0);
+  std::atomic<int> done{0};
+  rt::TaskGraph g;
+  const auto build = [&cells, &done](rt::DepScope& sc) {
+    for (int i = 0; i < kNodes; ++i) {
+      sc.spawn({rt::out(cells[static_cast<std::size_t>(i)])}, [&done] {
+        rt::spawn([&done] { late_spawn_finished_elsewhere(done); });
+      });
+    }
+  };
+  constexpr int kRuns = 50;
+  for (int run = 0; run < kRuns; ++run) {
+    s.run_single([&] { rt::run_graph_region(s, g, &cells, build); });
+    ASSERT_EQ(done.load(), (run + 1) * 3 * kNodes) << "run " << run;
+    ASSERT_EQ(s.live_tasks(), 0) << "run " << run;
+  }
+  EXPECT_EQ(s.stats().total.graphs_replayed,
+            static_cast<std::uint64_t>(kRuns - 1));
+}
+
+TEST_P(SchedulerThreads, LedgerLateSpawnStressServerDrain) {
+  // drain() sends idle server workers into the region-end barrier while
+  // requests still run; the barrier must wait for every request's tasks.
+  rt::Scheduler s(ledger_stress_cfg(GetParam()));
+  rt::ServerConfig sc;
+  sc.queue_capacity = 64;
+  constexpr int kReqs = 24;
+  constexpr int kTasks = 8;
+  std::atomic<int> done{0};
+  {
+    rt::TaskServer server(s, sc);
+    for (int r = 0; r < kReqs; ++r) {
+      auto res = server.submit([&done] {
+        for (int i = 0; i < kTasks; ++i) {
+          rt::spawn([&done] { late_spawn_finished_elsewhere(done); });
+        }
+      });
+      ASSERT_TRUE(res.admitted);
+    }
+    server.drain();
+    const rt::ServerStats st = server.stats();
+    EXPECT_EQ(st.completed, static_cast<std::uint64_t>(kReqs));
+  }
+  EXPECT_EQ(done.load(), kReqs * kTasks * 3);
+  EXPECT_EQ(s.live_tasks(), 0);
 }
 
 TEST_P(SchedulerThreads, FibCorrectWithFastPathDisabled) {
@@ -201,7 +337,6 @@ TEST_P(SchedulerThreads, FibCorrectWithFastPathDisabled) {
   // knobs off must still be a correct scheduler.
   rt::SchedulerConfig cfg;
   cfg.num_threads = GetParam();
-  cfg.batch_accounting = false;
   cfg.steal_half = false;
   cfg.victim_affinity = false;
   cfg.distributed_parking = false;
@@ -770,15 +905,70 @@ TEST(Cutoff, InlineDepthDoesNotLeakIntoClaimedTasks) {
   }
 }
 
+/// Counts deferred tasks that are alive: a task's closure is moved into its
+/// descriptor only when the spawn is deferred (the zero-alloc inline path
+/// calls it in place), and destroyed once the body has run — so the token
+/// moved along with it is alive exactly while the task is spawned and not
+/// finished. Tracks the peak.
+struct LiveToken {
+  std::atomic<long>* live;
+  std::atomic<long>* peak;
+  bool armed = false;
+  LiveToken(std::atomic<long>* l, std::atomic<long>* p) : live(l), peak(p) {}
+  LiveToken(LiveToken&& o) noexcept : live(o.live), peak(o.peak), armed(true) {
+    if (o.armed) {
+      o.armed = false;  // a later move hands the count over
+      return;
+    }
+    const long now = live->fetch_add(1) + 1;
+    long seen = peak->load();
+    while (now > seen && !peak->compare_exchange_weak(seen, now)) {
+    }
+  }
+  LiveToken(const LiveToken&) = delete;
+  LiveToken& operator=(const LiveToken&) = delete;
+  LiveToken& operator=(LiveToken&&) = delete;
+  ~LiveToken() {
+    if (armed) live->fetch_sub(1);
+  }
+};
+
+std::uint64_t fib_counted(int n, std::atomic<long>* live,
+                          std::atomic<long>* peak) {
+  if (n < 2) return static_cast<std::uint64_t>(n);
+  std::uint64_t a = 0, b = 0;
+  rt::spawn([&a, n, live, peak, tok = LiveToken(live, peak)] {
+    a = fib_counted(n - 1, live, peak);
+  });
+  rt::spawn([&b, n, live, peak, tok = LiveToken(live, peak)] {
+    b = fib_counted(n - 2, live, peak);
+  });
+  rt::taskwait();
+  return a + b;
+}
+
 TEST(Cutoff, MaxTasksBoundsLiveTasks) {
-  rt::SchedulerConfig cfg{.num_threads = 2,
-                          .cutoff = rt::CutoffPolicy::max_tasks,
-                          .cutoff_value = 8};
-  rt::Scheduler s(cfg);
-  std::uint64_t r = 0;
-  s.run_single([&] { r = fib_task(18, rt::Tiedness::tied); });
-  EXPECT_EQ(r, fib_ref(18));
-  EXPECT_GT(s.stats().total.tasks_cutoff_inlined, 0u);
+  // The documented staleness (config.hpp, cutoff_value): each worker defers
+  // at most cutoff_scan_period tasks on one view of the other workers.
+  constexpr std::uint32_t kBound = 8;
+  for (const unsigned threads : {2u, 4u}) {
+    rt::SchedulerConfig cfg{.num_threads = threads,
+                            .cutoff = rt::CutoffPolicy::max_tasks,
+                            .cutoff_value = kBound};
+    rt::Scheduler s(cfg);
+    std::atomic<long> live{0};
+    std::atomic<long> peak{0};
+    std::uint64_t r = 0;
+    s.run_single([&] { r = fib_counted(20, &live, &peak); });
+    EXPECT_EQ(r, fib_ref(20));
+    EXPECT_EQ(live.load(), 0);
+    EXPECT_GT(s.stats().total.tasks_cutoff_inlined, 0u);
+    EXPECT_GT(peak.load(), 0);
+    EXPECT_LE(peak.load(),
+              static_cast<long>(kBound + threads *
+                                             rt::Scheduler::cutoff_scan_period))
+        << threads << " threads";
+  }
 }
 
 TEST(Cutoff, AdaptiveThrottlesUnderFlood) {

@@ -29,6 +29,13 @@
 
 namespace rt = bots::rt;
 
+// A -DBOTS_RT_NO_TRACE build compiles the scheduler's event sites out, so
+// nothing is recorded: the cases that count or analyze recorded events have
+// nothing to check there.
+#define SKIP_WITHOUT_TRACE_SITES()                                  \
+  if (!rt::trace_sites_compiled)                                    \
+  GTEST_SKIP() << "event sites compiled out (BOTS_RT_NO_TRACE)"
+
 namespace {
 
 std::uint64_t spawn_fib(int n) {
@@ -111,6 +118,7 @@ TEST(TraceRing, WeightedCounts) {
 // ---------------------------------------------------------------------------
 
 TEST(TraceConservation, SpawnStealParkEventsMatchWorkerStats) {
+  SKIP_WITHOUT_TRACE_SITES();
   rt::SchedulerConfig cfg;
   cfg.num_threads = 4;
   cfg.trace = true;
@@ -175,6 +183,7 @@ TEST(TraceKnob, OffCostsNothingAndAllocatesNothing) {
 // ---------------------------------------------------------------------------
 
 TEST(TracePathology, CreationSerializationFiresOnRootOnlySpawns) {
+  SKIP_WITHOUT_TRACE_SITES();
   rt::SchedulerConfig cfg;
   cfg.num_threads = 4;
   cfg.trace = true;
@@ -200,6 +209,7 @@ TEST(TracePathology, CreationSerializationFiresOnRootOnlySpawns) {
 }
 
 TEST(TracePathology, DepthFirstStarvationFiresOnTinyDepthCutoff) {
+  SKIP_WITHOUT_TRACE_SITES();
   rt::SchedulerConfig cfg;
   cfg.num_threads = 4;
   cfg.trace = true;
@@ -302,6 +312,7 @@ TEST(TracePathology, QuietOnHealthyNumaRangeRun) {
 // ---------------------------------------------------------------------------
 
 TEST(TraceExport, WritesChromeTraceJson) {
+  SKIP_WITHOUT_TRACE_SITES();
   rt::SchedulerConfig cfg;
   cfg.num_threads = 4;
   cfg.trace = true;
@@ -326,6 +337,7 @@ TEST(TraceExport, WritesChromeTraceJson) {
 }
 
 TEST(TraceServer, RequestSlicesBalance) {
+  SKIP_WITHOUT_TRACE_SITES();
   rt::SchedulerConfig cfg;
   cfg.num_threads = 4;
   cfg.trace = true;
