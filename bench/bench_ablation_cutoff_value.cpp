@@ -40,6 +40,7 @@ void bm_depth(benchmark::State& state, std::string app, int depth,
   for (auto _ : state) {
     rt::SchedulerConfig cfg;
     cfg.num_threads = threads;
+    cfg.cutoff = rt::CutoffPolicy::max_tasks;  // the paper's runtime, not demand
     rt::Scheduler sched(cfg);
     sched.run_single([] {});
     core::Timer t;

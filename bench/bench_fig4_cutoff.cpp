@@ -2,6 +2,8 @@
 // mechanisms" — NQueens speed-ups with the manual cut-off, the if-clause
 // cut-off and no application cut-off (leaving pruning to the runtime's
 // max_tasks policy, the mechanism the paper attributes to icc 11.0).
+// Every leg pins CutoffPolicy::max_tasks: the runtime's default (demand)
+// publishes on demand and would not reproduce the icc-style curve.
 //
 // Expected shape: manual >= if-clause >= no-cutoff ("programming a manual
 // cut-off is more effective than using an if clause, or relying on their
@@ -14,6 +16,7 @@
 #include "bench_common.hpp"
 
 namespace core = bots::core;
+namespace rt = bots::rt;
 namespace bench = bots::bench;
 
 namespace {
@@ -29,7 +32,10 @@ std::map<Key, bench::Measurement> g_results;
 void bm_config(benchmark::State& state, const core::AppInfo* app,
                std::string version, unsigned threads, core::InputClass input) {
   for (auto _ : state) {
-    const auto rep = bench::parallel_best(*app, version, threads, input, 1);
+    rt::SchedulerConfig cfg;
+    cfg.cutoff = rt::CutoffPolicy::max_tasks;
+    const auto rep =
+        bench::parallel_best(*app, version, threads, input, 1, cfg);
     state.SetIterationTime(rep.seconds);
     g_results[{version, threads}].offer(rep);
   }

@@ -28,7 +28,8 @@ enum class CutoffPolicy : std::uint8_t {
   none,       ///< never inline; every spawn is deferred
   max_tasks,  ///< inline when live task count exceeds a bound (models icc 11.0)
   max_depth,  ///< inline when task depth exceeds a bound
-  adaptive    ///< hysteresis on live task count (models Duran et al. [27])
+  adaptive,   ///< hysteresis on live task count (models Duran et al. [27])
+  demand      ///< max_tasks, and publish only while the local queue is dry
 };
 
 /// Order in which a worker consumes its own deque.
@@ -109,21 +110,22 @@ inline void warn_malformed_env(const char* name, const char* value) noexcept {
 }
 
 /// RT_CUTOFF environment override ("none", "max_tasks", "max_depth",
-/// "adaptive"); unset keeps the max_tasks default and a malformed value
+/// "adaptive", "demand"); unset keeps the demand default and a malformed value
 /// warns once and keeps it too. Paired with RT_CUTOFF_VALUE for the bound
 /// (0 = policy-specific default), it lets CI re-run whole binaries under a
 /// pruning strategy — the nightly depth-first-starvation provocation leg
 /// (RT_CUTOFF=max_depth RT_CUTOFF_VALUE=1) exists because of this knob.
 [[nodiscard]] inline CutoffPolicy cutoff_from_env() noexcept {
   const char* v = std::getenv("RT_CUTOFF");
-  if (v == nullptr) return CutoffPolicy::max_tasks;
+  if (v == nullptr) return CutoffPolicy::demand;
   const std::string_view s{v};
   if (s == "none") return CutoffPolicy::none;
   if (s == "max_tasks") return CutoffPolicy::max_tasks;
   if (s == "max_depth") return CutoffPolicy::max_depth;
   if (s == "adaptive") return CutoffPolicy::adaptive;
+  if (s == "demand") return CutoffPolicy::demand;
   warn_malformed_env("RT_CUTOFF", v);
-  return CutoffPolicy::max_tasks;
+  return CutoffPolicy::demand;
 }
 
 /// RT_STEAL_POLICY environment override ("random", "sequential",
@@ -179,9 +181,16 @@ struct SchedulerConfig {
   LocalOrder local_order = LocalOrder::lifo;
   VictimPolicy victim = VictimPolicy::random;
   /// Cut-off policy (Figure 4). Also settable process-wide via RT_CUTOFF.
+  /// The default, demand, applies the max_tasks bound and then publishes a
+  /// spawn (LIFO slot or deque) only while the spawning worker's deque holds
+  /// fewer than Scheduler::demand_publish_below tasks and its steal stash
+  /// is empty; every other spawn runs at once on its own descriptor
+  /// (Scheduler::run_undeferred), so its taskwait joins exactly its own
+  /// children. The paper's runtime cut-off (icc's max_tasks, Figure 4) is
+  /// CutoffPolicy::max_tasks; the Figure 4 benches pin it explicitly.
   CutoffPolicy cutoff = cutoff_from_env();
   /// Bound for the cut-off policy. 0 selects a policy-specific default:
-  /// max_tasks -> 64 * num_threads, max_depth -> 16,
+  /// max_tasks and demand -> 64 * num_threads, max_depth -> 16,
   /// adaptive -> hi = 64 * num_threads (lo = hi / 2).
   /// Also settable process-wide via RT_CUTOFF_VALUE.
   /// max_tasks/adaptive compare the bound against a per-worker view of the
@@ -431,6 +440,7 @@ struct SchedulerConfig {
     switch (cutoff) {
       case CutoffPolicy::max_tasks:
       case CutoffPolicy::adaptive:
+      case CutoffPolicy::demand:
         return 64u * (num_threads == 0 ? 1u : num_threads);
       case CutoffPolicy::max_depth:
         return 16u;
@@ -470,6 +480,7 @@ inline void cpu_relax() noexcept {
     case CutoffPolicy::max_tasks: return "max_tasks";
     case CutoffPolicy::max_depth: return "max_depth";
     case CutoffPolicy::adaptive: return "adaptive";
+    case CutoffPolicy::demand: return "demand";
   }
   return "?";
 }

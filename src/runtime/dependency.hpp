@@ -306,15 +306,18 @@ class DepScope {
 
   /// Push `e` onto `pred`'s successor stack; false when the stack is
   /// already closed (the predecessor finished — its successor walk is over
-  /// and will never see this edge).
+  /// and will never see this edge). Reading the closed sentinel acquires:
+  /// the caller then satisfies the edge itself, and this load is the only
+  /// thing that orders the predecessor's body (released by the finishing
+  /// worker's exchange in release_successors) before the successor's.
   static bool push_succ(Task* pred, DepEdge* e) noexcept {
     DepNode* pn = pred->dep();
-    DepEdge* head = pn->succ_head.load(std::memory_order_relaxed);
+    DepEdge* head = pn->succ_head.load(std::memory_order_acquire);
     do {
       if (head == detail::dep_closed()) return false;
       e->next = head;
     } while (!pn->succ_head.compare_exchange_weak(
-        head, e, std::memory_order_release, std::memory_order_relaxed));
+        head, e, std::memory_order_release, std::memory_order_acquire));
     return true;
   }
 

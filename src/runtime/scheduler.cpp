@@ -77,6 +77,8 @@ Scheduler::Scheduler(SchedulerConfig cfg)
   if (cfg_.num_threads == 0) cfg_.num_threads = 1;
   fault_.parse(cfg_.fault_plan);
   use_slot_ = cfg_.lifo_slot && cfg_.local_order == LocalOrder::lifo;
+  refused_inline_fast_ =
+      cfg_.use_inline_fast_path && cfg_.cutoff != CutoffPolicy::demand;
   rebuild_node_pools();
   rebuild_mailboxes();
   {
@@ -623,6 +625,17 @@ bool Scheduler::should_defer(Worker& w, std::uint32_t depth) noexcept {
         w.throttled = true;
       }
       return !w.throttled;
+    case CutoffPolicy::demand:
+      // Publish only what a thief could want: the same local-queue test
+      // StealPolicy::should_split_range applies to ranges, with room for
+      // two published tasks (the LIFO slot is not counted, thieves cannot
+      // see it). A steal or this worker's own pops drain the deque, and
+      // the next spawn publishes again.
+      if (w.stash_count != 0 ||
+          w.deque.size_estimate() >= demand_publish_below) {
+        return false;
+      }
+      return !live_exceeds(w, bound - 1);
   }
   return true;
 }
@@ -960,7 +973,7 @@ void Scheduler::execute_deferred(Worker& w, Task& t) {
     ++w.stats.tasks_discarded;
     if (ctx != nullptr) ctx->note_discarded();
     t.destroy_env();
-    finish_task(w, t, /*deferred=*/true);
+    finish_task(w, t);
     return;
   }
   Task* prev = w.current;
@@ -1005,10 +1018,17 @@ void Scheduler::execute_deferred(Worker& w, Task& t) {
   t.destroy_env();
   w.current = prev;
   w.inline_depth = prev_inline;
-  finish_task(w, t, /*deferred=*/true);
+  finish_task(w, t);
 }
 
 void Scheduler::run_undeferred(Worker& w, Task& t) {
+  // The one undeferred-with-descriptor path: demand's run-now spawns, the
+  // cut-off refusals and spawn_if(false) with use_inline_fast_path off. The
+  // task runs to completion on this worker, nested in its parent's body, so
+  // the parent is never charged for it: no add_child_ref at spawn (the
+  // parent's taskwait has nothing to wait for), and no parent RMW at
+  // retirement unless the task leaves live children behind (retire below).
+  Task* parent = t.parent();
   if ((w.region != nullptr && w.region->cancelled()) ||
       (t.ctx() != nullptr && t.ctx()->cancelled())) {
     // Cancelled before it ever started: retire the descriptor, skip the
@@ -1017,36 +1037,52 @@ void Scheduler::run_undeferred(Worker& w, Task& t) {
     // exact for the queued population.
     ++w.stats.tasks_discarded_inline;
     t.destroy_env();
-    finish_task(w, t, /*deferred=*/false);
+    dispose(w, t);  // no body ran, so no child can hold a reference
     return;
   }
-  Task* prev = w.current;
+  // A tied parent is suspended on this worker while t runs. A tied t
+  // suspends itself at its own taskwait, which covers the parent (t
+  // descends from it); an untied t does not, so the parent goes on the
+  // tied stack here, as run_inline_fast does for its adopting ancestor.
+  const bool push_tied = t.tiedness() == Tiedness::untied &&
+                         parent->tiedness() == Tiedness::tied &&
+                         (w.tied_stack.empty() || w.tied_stack.back() != parent);
+  if (push_tied) w.push_tied(parent);
   // As in execute_deferred: t's descriptor depth already includes any inline
   // frames below it, so depths computed under t start from zero again.
   const std::uint32_t prev_inline = w.inline_depth;
   w.inline_depth = 0;
   w.current = &t;
+  const auto retire = [&]() noexcept {
+    t.destroy_env();
+    w.current = parent;
+    w.inline_depth = prev_inline;
+    if (push_tied) w.pop_tied();
+    if (t.exclusive()) {
+      // Every child joined and released: t dies here, the parent untouched.
+      dispose(w, t);
+      return;
+    }
+    // Children outlive the body (no taskwait). The last of them walks t's
+    // release chain into the parent, so t must pin the parent first. A
+    // reference taken after publication is legal only from the parent's
+    // own executor while its body runs, which is this worker, now.
+    parent->add_ref();
+    release_chain(w, &t);
+  };
   try {
     t.invoke();
   } catch (...) {
     // An undeferred task is sequenced in its parent, so the exception
     // propagates synchronously from the spawn call (OpenMP semantics) —
-    // after the descriptor is retired like any completed task: the
-    // parent's child count must drop and the storage must recycle, or the
-    // descriptor (and through it the parent chain) leaks.
-    t.destroy_env();
-    w.current = prev;
-    w.inline_depth = prev_inline;
-    finish_task(w, t, /*deferred=*/false);
+    // after the descriptor is retired like any completed task, or it leaks.
+    retire();
     throw;
   }
-  t.destroy_env();
-  w.current = prev;
-  w.inline_depth = prev_inline;
-  finish_task(w, t, /*deferred=*/false);
+  retire();
 }
 
-void Scheduler::finish_task(Worker& w, Task& t, bool deferred) {
+void Scheduler::finish_task(Worker& w, Task& t) {
   // Dependence hook first, before any path can recycle the descriptor:
   // successors release on execute AND discard retirements alike, which is
   // what lets a cancelled DAG or replay drain by discards (one null check
@@ -1092,7 +1128,7 @@ void Scheduler::finish_task(Worker& w, Task& t, bool deferred) {
     if (parent != nullptr) parent->child_completed();
     release_chain(w, &t);
   }
-  if (deferred && region != nullptr) {
+  if (region != nullptr) {
     w.note_finished();
     // The request's live count stays a shared counter: run_ctx_root's join
     // spins on it, and only that request's subtree contends for it.
@@ -1113,19 +1149,12 @@ void Scheduler::taskwait_from(Worker& w) {
   Task* cur = w.current;
   if (cur == nullptr || cur->unfinished_children() == 0) return;
   const bool constrains = cur->tiedness() == Tiedness::tied;
-  if (constrains) {
-    // Extend the verified ancestor-chain prefix when possible. The claim's
-    // tsc_allows does not cover this: cur may have been inlined
-    // (run_undeferred) under an untied task and never TSC-checked, so the
-    // descent from the previous top must be established here — one ancestry
-    // walk per suspension, amortized over every claim it later speeds up.
-    if (w.tied_chain == w.tied_stack.size() &&
-        (w.tied_stack.empty() || cur->is_descendant_of(*w.tied_stack.back()))) {
-      ++w.tied_chain;
-    }
-    w.tied_stack.push_back(cur);
-    w.parked_recheck = true;
-  }
+  // push_tied extends the verified ancestor-chain prefix when it can. The
+  // claim's tsc_allows does not cover this: cur may have run undeferred
+  // (run_undeferred) under an untied task and never been TSC-checked, so
+  // the descent from the previous top must be established here — one
+  // ancestry walk per suspension, amortized over every claim it speeds up.
+  if (constrains) w.push_tied(cur);
   Backoff backoff;
   while (cur->unfinished_children() != 0) {
     if (Task* t = find_work(w)) {
@@ -1135,13 +1164,7 @@ void Scheduler::taskwait_from(Worker& w) {
       backoff.pause();
     }
   }
-  if (constrains) {
-    w.tied_stack.pop_back();
-    if (w.tied_chain > w.tied_stack.size()) {
-      w.tied_chain = w.tied_stack.size();
-    }
-    w.parked_recheck = true;  // the constraint relaxed: parked may be eligible
-  }
+  if (constrains) w.pop_tied();
 }
 
 void Scheduler::barrier_from(Worker& w) {

@@ -62,14 +62,24 @@
 //   retuned at runtime per spawn site by the GrainTable (grain.hpp) when
 //   use_adaptive_grain is on, resetting to the seeded base at region start.
 //   The scheduler core only executes decisions.
+// * Publish on demand (CutoffPolicy::demand, the default): a spawn the
+//   max_tasks bound would defer is published only while the spawner's deque
+//   holds fewer than demand_publish_below (2) tasks and its steal stash is
+//   empty — the state an idle thief leaves behind. Every other spawn runs
+//   now on its own pooled descriptor (run_undeferred), so its taskwait
+//   joins exactly its own children and the tied-task rules hold unchanged.
+//   Run-now never touches the parent's state word: no add_child_ref at
+//   spawn, a direct dispose at retirement when the task is exclusive, and a
+//   plain add_ref on the parent only when it leaves live children behind.
 // * Zero-alloc undeferred execution: when spawn_if's condition is false or
-//   the cut-off refuses deferral, the closure runs directly on the parent's
-//   frame with no descriptor at all (detail::run_inline_fast): depth is
-//   tracked in Worker::inline_depth and an inlined tied task pushes its
-//   parent on the tied stack so the TSC stays enforced across it. Children
-//   spawned inside the body are adopted by the nearest descriptor-carrying
-//   ancestor, which makes every join conservative (a superset wait), never
-//   weaker. Knob: use_inline_fast_path.
+//   a policy other than demand refuses deferral, the closure runs directly
+//   on the parent's frame with no descriptor at all
+//   (detail::run_inline_fast): depth is tracked in Worker::inline_depth and
+//   an inlined tied task pushes its parent on the tied stack so the TSC
+//   stays enforced across it. Children spawned inside the body are adopted
+//   by the nearest descriptor-carrying ancestor, which makes every join
+//   conservative (a superset wait), never weaker — too costly for demand's
+//   run-now, whose bodies publish children. Knob: use_inline_fast_path.
 // * Range tasks: spawn_range (worksharing.hpp) publishes one descriptor per
 //   iteration range; the executor peels grain-sized chunks and splits the
 //   upper half into a sibling descriptor whenever its local queue is empty —
@@ -481,6 +491,25 @@ class Worker {
     finished.store(finished.load(std::memory_order_relaxed) + 1,
                    std::memory_order_release);
   }
+
+  /// Suspend tied task `t` on this worker: push it on tied_stack, extending
+  /// the verified ancestor-chain prefix (tied_chain) when `t` descends from
+  /// the current top. One ancestry walk per push.
+  void push_tied(Task* t) {
+    if (tied_chain == tied_stack.size() &&
+        (tied_stack.empty() || t->is_descendant_of(*tied_stack.back()))) {
+      ++tied_chain;
+    }
+    tied_stack.push_back(t);
+    parked_recheck = true;
+  }
+  /// Resume the top suspended tied task: the constraint relaxes, so parked
+  /// tasks may have become eligible.
+  void pop_tied() noexcept {
+    tied_stack.pop_back();
+    if (tied_chain > tied_stack.size()) tied_chain = tied_stack.size();
+    parked_recheck = true;
+  }
 };
 
 namespace detail {
@@ -786,8 +815,21 @@ class Scheduler {
   [[nodiscard]] StatsSnapshot stats() const;
   void reset_stats() noexcept;
 
+  /// CutoffPolicy::demand publishes a spawn only while the spawning
+  /// worker's deque holds fewer than this many tasks (and its steal stash is
+  /// empty). A sweep over 1/2/4/8/16 on fine-grain and serve found 2 best:
+  /// at 1 health ran 30% slower, at 4 and above most of the fib gain was
+  /// lost.
+  static constexpr std::int64_t demand_publish_below = 2;
+
   // ---- internal API used by the spawn fast path (do not call directly) ----
   [[nodiscard]] bool should_defer(Worker& w, std::uint32_t depth) noexcept;
+  /// Whether a spawn should_defer refused runs on the zero-alloc inline path
+  /// (use_inline_fast_path under every policy but demand) rather than on
+  /// its own descriptor through run_undeferred.
+  [[nodiscard]] bool refused_inline_fast() const noexcept {
+    return refused_inline_fast_;
+  }
   Task* alloc_task(Worker& w, TaskStorage& storage_out);
   void enqueue(Worker& w, Task& t);
   /// Publication point for a split-off range half (worksharing.hpp): with
@@ -875,7 +917,7 @@ class Scheduler {
   Task* claim_parked(Worker& w);
   [[nodiscard]] bool tsc_allows(const Worker& w, const Task& t) const noexcept;
   void execute_deferred(Worker& w, Task& t);
-  void finish_task(Worker& w, Task& t, bool deferred);
+  void finish_task(Worker& w, Task& t);
   void release_chain(Worker& w, Task* t) noexcept;
   /// Finish-path dependence hook (top of finish_task, execute AND discard
   /// retirements): walk the task's successor list — dynamic Treiber stack
@@ -934,6 +976,7 @@ class Scheduler {
   long caller_tid_ = -1;             ///< restore address for the saved mask
   bool caller_pinned_ = false;
   bool use_slot_ = false;  ///< cfg_.lifo_slot effective under LocalOrder::lifo
+  bool refused_inline_fast_ = false;  ///< see refused_inline_fast()
   std::vector<std::unique_ptr<Worker>> workers_;
   std::vector<std::jthread> threads_;
 
@@ -1050,25 +1093,11 @@ void run_inline_fast(Worker& w, Tiedness tied, F&& f) {
   const bool push_tied =
       tied == Tiedness::tied &&
       (w.tied_stack.empty() || w.tied_stack.back() != w.current);
-  if (push_tied) {
-    if (w.tied_chain == w.tied_stack.size() &&
-        (w.tied_stack.empty() ||
-         w.current->is_descendant_of(*w.tied_stack.back()))) {
-      ++w.tied_chain;
-    }
-    w.tied_stack.push_back(w.current);
-    w.parked_recheck = true;
-  }
+  if (push_tied) w.push_tied(w.current);
   ++w.inline_depth;
   const auto unwind = [&w, push_tied]() noexcept {
     --w.inline_depth;
-    if (push_tied) {
-      w.tied_stack.pop_back();
-      if (w.tied_chain > w.tied_stack.size()) {
-        w.tied_chain = w.tied_stack.size();
-      }
-      w.parked_recheck = true;  // the constraint relaxed: parked may be eligible
-    }
+    if (push_tied) w.pop_tied();
   };
   try {
     std::forward<F>(f)();
@@ -1094,7 +1123,7 @@ void spawn(Tiedness tied, F&& f) {
   const std::uint32_t depth =
       (w->current != nullptr ? w->current->depth() + 1 : 1) + w->inline_depth;
   const bool defer = s.should_defer(*w, depth);
-  if (!defer && s.config().use_inline_fast_path) {
+  if (!defer && s.refused_inline_fast()) {
     ++w->stats.tasks_cutoff_inlined;
     detail::run_inline_fast(*w, tied, std::forward<F>(f));
     return;
@@ -1114,14 +1143,15 @@ void spawn(Tiedness tied, F&& f) {
   }
   t->init_env(std::forward<F>(f));
   w->stats.env_bytes += t->env_bytes();
-  Task* parent = w->current;
-  parent->add_child_ref();
-  t->set_links(parent, depth, tied, storage);
+  t->set_links(w->current, depth, tied, storage);
   if (defer) {
+    w->current->add_child_ref();
     ++w->stats.tasks_deferred;
     trace_record(w->ring, TraceEvent::spawn, depth, 1);
     s.enqueue(*w, *t);
   } else {
+    // Runs now, on its own descriptor; the parent is not charged (see
+    // Scheduler::run_undeferred).
     ++w->stats.tasks_cutoff_inlined;
     s.run_undeferred(*w, *t);
   }
@@ -1167,9 +1197,7 @@ void spawn_if(bool condition, Tiedness tied, F&& f) {
   }
   t->init_env(std::forward<F>(f));
   w->stats.env_bytes += t->env_bytes();
-  Task* parent = w->current;
-  parent->add_child_ref();
-  t->set_links(parent, depth, tied, storage);
+  t->set_links(w->current, depth, tied, storage);
   s.run_undeferred(*w, *t);
 }
 

@@ -1,10 +1,13 @@
 // Unit tests for the bots::rt task runtime: scheduler semantics, cut-off
 // policies, tiedness/TSC behaviour, worksharing, worker-local storage.
+#include <array>
 #include <atomic>
 #include <chrono>
+#include <cstdlib>
 #include <numeric>
 #include <set>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -997,6 +1000,290 @@ TEST(Cutoff, ResolvedBoundDefaults) {
   EXPECT_EQ(cfg.resolved_cutoff_bound(), 16u);
   cfg.cutoff_value = 9;
   EXPECT_EQ(cfg.resolved_cutoff_bound(), 9u);
+}
+
+// ---------------------------------------------------------------------------
+// Publish on demand (CutoffPolicy::demand, the default): a spawn is published
+// only while the spawner's deque holds fewer than two tasks and its steal
+// stash is empty; every other spawn runs now on its own descriptor.
+// ---------------------------------------------------------------------------
+
+rt::SchedulerConfig demand_cfg(unsigned threads) {
+  rt::SchedulerConfig cfg;
+  cfg.num_threads = threads;
+  cfg.cutoff = rt::CutoffPolicy::demand;
+  cfg.fault_plan.clear();  // exact counts below
+  return cfg;
+}
+
+/// Spawn no-op tasks until this worker's deque holds two, so the next spawn
+/// under demand runs now (the newest of the three sits in the LIFO slot).
+void fill_local_queue() {
+  for (int i = 0; i < 3; ++i) rt::spawn([] {});
+}
+
+TEST(Demand, IsTheDefaultAndParsesFromEnv) {
+  const char* saved = std::getenv("RT_CUTOFF");
+  const std::string keep = saved != nullptr ? saved : "";
+  ::unsetenv("RT_CUTOFF");
+  EXPECT_EQ(rt::cutoff_from_env(), rt::CutoffPolicy::demand);
+  EXPECT_EQ(rt::SchedulerConfig{}.cutoff, rt::CutoffPolicy::demand);
+  ::setenv("RT_CUTOFF", "demand", 1);
+  EXPECT_EQ(rt::cutoff_from_env(), rt::CutoffPolicy::demand);
+  ::setenv("RT_CUTOFF", "max_tasks", 1);
+  EXPECT_EQ(rt::cutoff_from_env(), rt::CutoffPolicy::max_tasks);
+  if (saved != nullptr) {
+    ::setenv("RT_CUTOFF", keep.c_str(), 1);
+  } else {
+    ::unsetenv("RT_CUTOFF");
+  }
+  EXPECT_STREQ(rt::to_string(rt::CutoffPolicy::demand), "demand");
+  rt::SchedulerConfig cfg = demand_cfg(4);
+  EXPECT_EQ(cfg.resolved_cutoff_bound(), 256u);  // the max_tasks bound
+}
+
+TEST(Demand, RunNowKeepsTheTaskLedgers) {
+  for (const unsigned threads : {2u, 4u}) {
+    for (const rt::Tiedness tied : {rt::Tiedness::tied, rt::Tiedness::untied}) {
+      rt::Scheduler s(demand_cfg(threads));
+      std::uint64_t r = 0;
+      s.run_single([&] { r = fib_task(22, tied); });
+      EXPECT_EQ(r, fib_ref(22));
+      const auto t = s.stats().total;
+      EXPECT_LT(t.tasks_deferred, t.tasks_created) << threads << " threads";
+      EXPECT_GT(t.tasks_cutoff_inlined, 0u);
+      EXPECT_EQ(t.tasks_inlined_fast, 0u);  // run-now keeps its descriptor
+      EXPECT_EQ(t.tasks_created + t.range_splits,
+                t.tasks_deferred + t.tasks_if_inlined + t.tasks_cutoff_inlined);
+      EXPECT_EQ(t.tasks_executed + t.tasks_discarded, t.tasks_deferred);
+      EXPECT_EQ(t.pool_home_frees + t.pool_remote_frees,
+                t.pool_reuse + t.pool_fresh);
+      EXPECT_EQ(s.live_tasks(), 0);
+    }
+  }
+}
+
+/// A run-now task R publishes two children and returns without a taskwait;
+/// its deferred parent P returns too, and worker 1 steals and finishes a
+/// child only after both are gone. The last child to finish walks R's
+/// release chain into P, which only the reference R took on P at its
+/// retirement keeps alive: with heap descriptors, a missing reference is a
+/// use-after-free that ASan reports.
+TEST(Demand, RunNowChildrenOutliveItAndFinishElsewhere) {
+  for (const bool pooled : {false, true}) {
+    rt::SchedulerConfig cfg = demand_cfg(2);
+    cfg.use_task_pool = pooled;
+    rt::Scheduler s(cfg);
+    for (int round = 0; round < 20; ++round) {
+      std::atomic<bool> go{false};
+      std::atomic<int> fillers_done{0};
+      std::atomic<bool> p_done{false};
+      std::atomic<bool> x_done{false};
+      std::atomic<unsigned> x_worker{~0u};
+      std::atomic<int> children{0};
+      s.run_all([&](unsigned id) {
+        if (id != 0) {
+          // Hold worker 1 out of the scheduler until R has filled worker 0's
+          // deque, then let it steal from the barrier.
+          while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
+          return;
+        }
+        rt::spawn([&] {  // P: deferred, executed by worker 0 just below
+          for (int i = 0; i < 3; ++i) {  // A, B to the deque, C in the slot
+            rt::spawn([&] { fillers_done.fetch_add(1); });
+          }
+          rt::spawn([&] {  // R: the deque holds two tasks, so it runs now
+            go.store(true, std::memory_order_release);
+            // Worker 1 steals A and B; the deque is dry and R publishes.
+            while (fillers_done.load() < 2) std::this_thread::yield();
+            rt::spawn([&] {  // X: to the deque when Y takes the slot
+              while (!p_done.load(std::memory_order_acquire)) {
+                std::this_thread::yield();
+              }
+              x_worker.store(rt::worker_id());
+              children.fetch_add(1);
+              x_done.store(true, std::memory_order_release);
+            });
+            rt::spawn([&] { children.fetch_add(1); });  // Y
+          });
+        });
+        rt::taskwait();  // runs P; returns once P has finished
+        p_done.store(true, std::memory_order_release);
+        while (!x_done.load(std::memory_order_acquire)) {
+          std::this_thread::yield();
+        }
+      });
+      EXPECT_EQ(children.load(), 2);
+      EXPECT_EQ(fillers_done.load(), 3);
+      EXPECT_EQ(x_worker.load(), 1u) << "round " << round;
+    }
+    const auto t = s.stats().total;
+    EXPECT_EQ(t.tasks_cutoff_inlined, 20u);  // R, once per round
+    EXPECT_EQ(t.tasks_deferred, 20u * 6u);   // P, A, B, C, X, Y
+    EXPECT_EQ(t.tasks_executed, t.tasks_deferred);
+    if (pooled) {  // heap descriptors are deleted uncounted
+      EXPECT_EQ(t.pool_home_frees + t.pool_remote_frees,
+                t.pool_reuse + t.pool_fresh);
+    }
+  }
+}
+
+TEST(Demand, RunNowExceptionPropagatesFromSpawn) {
+  rt::Scheduler s(demand_cfg(1));
+  bool caught_at_site = false;
+  bool ran_after = false;
+  std::atomic<int> range_ran{0};
+  s.run_single([&] {
+    fill_local_queue();
+    try {
+      rt::spawn([&range_ran] {
+        // Ranges always publish: this child is still queued when the body
+        // throws, so retirement takes the reference on the parent.
+        rt::spawn_range(0, 8, 8, [&range_ran](std::int64_t) {
+          range_ran.fetch_add(1);
+        });
+        throw std::runtime_error("run-now boom");
+      });
+    } catch (const std::runtime_error& e) {
+      caught_at_site = std::string(e.what()) == "run-now boom";
+    }
+    int x = 0;
+    rt::spawn([&x] { x = 1; });
+    rt::taskwait();
+    ran_after = x == 1;
+  });  // must not throw: the exception was consumed at its site
+  EXPECT_TRUE(caught_at_site);
+  EXPECT_TRUE(ran_after);
+  EXPECT_EQ(range_ran.load(), 8);
+  const auto t = s.stats().total;
+  EXPECT_GE(t.tasks_cutoff_inlined, 1u);
+  EXPECT_EQ(t.tasks_executed, t.tasks_deferred);
+  EXPECT_EQ(t.pool_home_frees + t.pool_remote_frees,
+            t.pool_reuse + t.pool_fresh);
+}
+
+TEST(Demand, RunNowInCancelledScopeCountsAsInlineDiscard) {
+  // Whole region.
+  {
+    rt::Scheduler s(demand_cfg(1));
+    bool ran = false;
+    s.run_single([&] {
+      fill_local_queue();
+      rt::cancel_region();
+      rt::spawn([&ran] { ran = true; });
+    });
+    EXPECT_FALSE(ran);
+    const auto t = s.stats().total;
+    EXPECT_EQ(t.tasks_discarded_inline, 1u);
+    EXPECT_EQ(t.tasks_cutoff_inlined, 1u);
+    EXPECT_EQ(t.tasks_executed + t.tasks_discarded, t.tasks_deferred);
+    EXPECT_EQ(t.pool_home_frees + t.pool_remote_frees,
+              t.pool_reuse + t.pool_fresh);
+  }
+  // One server request.
+  {
+    rt::Scheduler s(demand_cfg(1));
+    bool ran = false;
+    {
+      rt::TaskServer server(s, rt::ServerConfig{});
+      auto res = server.submit([&ran] {
+        fill_local_queue();
+        rt::cancel_region();  // cancels this request only
+        rt::spawn([&ran] { ran = true; });
+      });
+      ASSERT_TRUE(res.admitted);
+      EXPECT_EQ(res.handle.wait(), rt::RequestStatus::cancelled);
+      EXPECT_TRUE(res.handle.ledger_balanced());
+    }
+    EXPECT_FALSE(ran);
+    const auto t = s.stats().total;
+    EXPECT_EQ(t.tasks_discarded_inline, 1u);
+    EXPECT_EQ(t.tasks_executed + t.tasks_discarded, t.tasks_deferred);
+  }
+}
+
+/// TSC across run-now: tied P runs on worker 0 and its untied child U runs
+/// now (the deque holds two tasks); U waits for a range child. The oldest
+/// task in worker 0's FIFO deque is T, tied and not a descendant of P. P is
+/// suspended under U, so U's wait must refuse T (it is parked, and worker 1
+/// runs it) rather than run it on top of P.
+TEST(Demand, UntiedRunNowChildOfTiedParentKeepsTheConstraint) {
+  for (const bool distributed : {true, false}) {
+    rt::SchedulerConfig cfg = demand_cfg(2);
+    cfg.local_order = rt::LocalOrder::fifo;
+    cfg.distributed_parking = distributed;
+    rt::Scheduler s(cfg);
+    std::atomic<bool> u_waiting{false};
+    std::atomic<bool> p_suspended{false};
+    std::atomic<bool> violation{false};
+    std::atomic<bool> t_ran{false};
+    std::atomic<long> range_sum{0};
+    s.run_all([&](unsigned id) {
+      if (id != 0) {
+        while (!u_waiting.load(std::memory_order_acquire)) {
+          std::this_thread::yield();
+        }
+        return;  // to the barrier, which drains the parked T
+      }
+      rt::spawn(rt::Tiedness::tied, [&] {  // P
+        rt::spawn(rt::Tiedness::tied, [] {});  // F: with T, two in the deque
+        p_suspended.store(true, std::memory_order_release);
+        rt::spawn(rt::Tiedness::untied, [&] {  // U: runs now
+          rt::spawn_range(rt::Tiedness::tied, 0, 64, 64, [&](std::int64_t i) {
+            range_sum.fetch_add(i);
+          });
+          u_waiting.store(true, std::memory_order_release);
+          rt::taskwait();
+        });
+        p_suspended.store(false, std::memory_order_release);
+      });
+      rt::spawn(rt::Tiedness::tied, [&] {  // T: not a descendant of P
+        if (p_suspended.load(std::memory_order_acquire) &&
+            rt::worker_id() == 0) {
+          violation.store(true);
+        }
+        t_ran.store(true);
+      });
+    });
+    EXPECT_TRUE(t_ran.load());
+    EXPECT_EQ(range_sum.load(), 64 * 63 / 2);
+    EXPECT_FALSE(violation.load())
+        << "a tied task ran on top of a suspended tied non-ancestor "
+           "(distributed="
+        << distributed << ")";
+    const auto t = s.stats().total;
+    EXPECT_EQ(t.tasks_cutoff_inlined, 1u);  // U
+    EXPECT_GE(t.tsc_parked, 1u);
+    EXPECT_EQ(t.tasks_executed, t.tasks_deferred);
+  }
+}
+
+/// One generator spawning a few coarse tasks: publish-on-demand keeps at
+/// most two in the deque, so thieves take them one at a time instead of
+/// one thief raiding half of a long deque into its private stash.
+TEST(Demand, CoarseSingleGeneratorSpreadsAcrossWorkers) {
+  rt::Scheduler s(demand_cfg(4));
+  std::array<std::atomic<int>, 4> ran_on{};
+  s.run_single([&] {
+    for (int i = 0; i < 12; ++i) {
+      rt::spawn([&ran_on] {
+        ran_on[rt::worker_id()].fetch_add(1);
+        const auto until =
+            std::chrono::steady_clock::now() + std::chrono::milliseconds(2);
+        while (std::chrono::steady_clock::now() < until) {
+        }
+      });
+    }
+    rt::taskwait();
+  });
+  int total = 0;
+  int workers = 0;
+  for (const auto& n : ran_on) {
+    total += n.load();
+    workers += n.load() > 0 ? 1 : 0;
+  }
+  EXPECT_EQ(total, 12);
+  EXPECT_GE(workers, 3);
 }
 
 // ---------------------------------------------------------------------------
